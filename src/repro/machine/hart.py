@@ -84,7 +84,10 @@ class Hart:
         engine: CryptoEngine | None = None,
         cost_model: CostModel | None = None,
     ):
+        #: Never reassigned: load, store and fetch handlers bind its
+        #: methods once.
         self.bus = bus
+        self._fetch_word = bus.read_u32
         self.engine = engine if engine is not None else CryptoEngine()
         self.cost = cost_model or CostModel()
         self.regs = RegisterFile()
@@ -500,7 +503,7 @@ class Hart:
         if pc % 4:
             raise Trap(Cause.INSTRUCTION_MISALIGNED, tval=pc)
         try:
-            return self.bus.read_u32(pc)
+            return self._fetch_word(pc)
         except MemoryFault:
             raise Trap(Cause.INSTRUCTION_ACCESS_FAULT, tval=pc) from None
 
@@ -925,12 +928,7 @@ class Hart:
     def _make_load(self, mnemonic: str):
         size = tab.ACCESS_SIZE[mnemonic]
         signed = not mnemonic.endswith("u") and mnemonic != "ld"
-        reader = {
-            1: lambda a: self.bus.read_u8(a),
-            2: lambda a: self.bus.read_u16(a),
-            4: lambda a: self.bus.read_u32(a),
-            8: lambda a: self.bus.read_u64(a),
-        }[size]
+        reader = getattr(self.bus, f"read_u{8 * size}")
 
         def handler(ins: Instruction, pc: int):
             address = (self.regs[ins.rs1] + ins.imm) & MASK64
@@ -948,12 +946,7 @@ class Hart:
 
     def _make_store(self, mnemonic: str):
         size = tab.ACCESS_SIZE[mnemonic]
-        writer = {
-            1: lambda a, v: self.bus.write_u8(a, v),
-            2: lambda a, v: self.bus.write_u16(a, v),
-            4: lambda a, v: self.bus.write_u32(a, v),
-            8: lambda a, v: self.bus.write_u64(a, v),
-        }[size]
+        writer = getattr(self.bus, f"write_u{8 * size}")
 
         def handler(ins: Instruction, pc: int):
             address = (self.regs[ins.rs1] + ins.imm) & MASK64

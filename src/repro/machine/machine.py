@@ -27,7 +27,13 @@ from repro.errors import ReproError
 from repro.machine.csr import MIP_MTIP
 from repro.machine.devices import Clint, Device, Rng, Syscon, Uart
 from repro.machine.hart import Hart
-from repro.machine.memory import Memory
+from repro.machine.memory import (
+    ACCESS_MASKS,
+    PAGE_SHIFT,
+    Memory,
+    fast_reader,
+    fast_writer,
+)
 from repro.machine.timing import CostModel
 from repro.machine.trap import Trap
 
@@ -41,41 +47,43 @@ class HaltReason(enum.Enum):
 
 
 class SystemBus:
-    """Routes hart memory accesses to devices or RAM."""
+    """Routes hart memory accesses to devices or RAM.
+
+    Every page a device touches is reserved in the memory, so it never
+    enters the memory's fast maps.  An access that lies inside one page
+    of those maps is then plain RAM: it is one dict lookup and one
+    unpack.  Everything else takes the exact path of :meth:`_read` and
+    :meth:`_write`: device, page-crossing, COW, watched-code, unmapped.
+    The device list is fixed at construction.
+    """
 
     def __init__(self, memory: Memory, devices: list[Device]):
         self.memory = memory
         self.devices = devices
+        memory.reserve_pages(
+            page
+            for device in devices
+            if device.size > 0
+            for page in range(
+                device.base >> PAGE_SHIFT,
+                ((device.base + device.size - 1) >> PAGE_SHIFT) + 1,
+            )
+        )
+        self._read_map = memory._read_map
+        self._write_map = memory._write_map
 
-    def _device_for(self, address: int, length: int) -> Device | None:
+    def device_at(self, address: int, size: int) -> Device | None:
+        """The device that wholly contains ``[address, address+size)``."""
         for device in self.devices:
-            if device.contains(address, length):
+            if device.contains(address, size):
                 return device
         return None
 
-    def read_u8(self, address: int) -> int:
-        device = self._device_for(address, 1)
-        if device:
-            return device.read(address, 1) & 0xFF
-        return self.memory.read_u8(address)
-
-    def read_u16(self, address: int) -> int:
-        device = self._device_for(address, 2)
-        if device:
-            return device.read(address, 2) & 0xFFFF
-        return self.memory.read_u16(address)
-
-    def read_u32(self, address: int) -> int:
-        device = self._device_for(address, 4)
-        if device:
-            return device.read(address, 4) & 0xFFFFFFFF
-        return self.memory.read_u32(address)
-
-    def read_u64(self, address: int) -> int:
-        device = self._device_for(address, 8)
-        if device:
-            return device.read(address, 8)
-        return self.memory.read_u64(address)
+    def _read(self, address: int, size: int) -> int:
+        device = self.device_at(address, size)
+        if device is not None:
+            return device.read(address, size) & ACCESS_MASKS[size]
+        return int.from_bytes(self.memory.read_bytes(address, size), "little")
 
     # Writes report whether a device (rather than RAM) absorbed them:
     # the hart's block fast path ends a translated block after a device
@@ -83,37 +91,24 @@ class SystemBus:
     # reprogramming) is observed at the same instruction boundary as
     # under single-stepping.
 
-    def write_u8(self, address: int, value: int) -> bool:
-        device = self._device_for(address, 1)
-        if device:
-            device.write(address, 1, value)
+    def _write(self, address: int, size: int, value: int) -> bool:
+        device = self.device_at(address, size)
+        if device is not None:
+            device.write(address, size, value)
             return True
-        self.memory.write_u8(address, value)
+        self.memory.write_bytes(
+            address, (value & ACCESS_MASKS[size]).to_bytes(size, "little")
+        )
         return False
 
-    def write_u16(self, address: int, value: int) -> bool:
-        device = self._device_for(address, 2)
-        if device:
-            device.write(address, 2, value)
-            return True
-        self.memory.write_u16(address, value)
-        return False
-
-    def write_u32(self, address: int, value: int) -> bool:
-        device = self._device_for(address, 4)
-        if device:
-            device.write(address, 4, value)
-            return True
-        self.memory.write_u32(address, value)
-        return False
-
-    def write_u64(self, address: int, value: int) -> bool:
-        device = self._device_for(address, 8)
-        if device:
-            device.write(address, 8, value)
-            return True
-        self.memory.write_u64(address, value)
-        return False
+    read_u8 = fast_reader(1)
+    read_u16 = fast_reader(2)
+    read_u32 = fast_reader(4)
+    read_u64 = fast_reader(8)
+    write_u8 = fast_writer(1)
+    write_u16 = fast_writer(2)
+    write_u32 = fast_writer(4)
+    write_u64 = fast_writer(8)
 
 
 #: Default RAM layout for stacks and heaps (kept clear of section bases).

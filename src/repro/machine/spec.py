@@ -179,11 +179,15 @@ class _DeviceAccess(Exception):
     """Transient access hit MMIO: the window must stop (no side effects)."""
 
 
+def _no_device(address: int, size: int) -> None:
+    return None
+
+
 class _Shadow:
     """Register/memory overlays plus byte-level taint for one window."""
 
     __slots__ = ("hart", "secret_ranges", "regs", "reg_taint", "mem",
-                 "mem_taint", "_bus", "_mem")
+                 "mem_taint", "_device_at", "_mem")
 
     def __init__(self, hart: Hart, config: SpecConfig):
         self.hart = hart
@@ -192,7 +196,8 @@ class _Shadow:
         self.reg_taint: set[int] = set()
         self.mem: dict[int, int] = {}       # address -> byte
         self.mem_taint: set[int] = set()    # tainted byte addresses
-        self._bus = hart.bus
+        #: Device lookup of a system bus; a bare Memory has no devices.
+        self._device_at = getattr(hart.bus, "device_at", _no_device)
         self._mem = hart._code_mem
 
     # -- registers ---------------------------------------------------------
@@ -223,9 +228,7 @@ class _Shadow:
 
     def load(self, address: int, size: int) -> tuple[int, bool]:
         """Overlay-through load; raises MemoryFault/_DeviceAccess."""
-        bus = self._bus
-        if hasattr(bus, "_device_for") and \
-                bus._device_for(address, size) is not None:
+        if self._device_at(address, size) is not None:
             raise _DeviceAccess
         value = 0
         tainted = False
@@ -245,9 +248,7 @@ class _Shadow:
     def store(self, address: int, size: int, value: int,
               tainted: bool) -> None:
         """Overlay-only store: committed memory is never written."""
-        bus = self._bus
-        if hasattr(bus, "_device_for") and \
-                bus._device_for(address, size) is not None:
+        if self._device_at(address, size) is not None:
             raise _DeviceAccess
         overlay = self.mem
         taint = self.mem_taint

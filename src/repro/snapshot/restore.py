@@ -16,13 +16,12 @@ reinstated, while derived caches restart cold —
 
 from __future__ import annotations
 
-from repro.crypto.clb import CLBEntry
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.keys import KeyFile, KeySelect
 from repro.errors import SnapshotError
 from repro.isa.decoder import clear_decode_cache
 from repro.machine.machine import HaltReason, Machine
-from repro.machine.memory import Memory, MemoryRegion, PAGE_SIZE
+from repro.machine.memory import Memory, PAGE_SIZE
 from repro.machine.timing import CostModel
 from repro.snapshot.state import (
     SNAPSHOT_VERSION,
@@ -134,18 +133,22 @@ def restore(snapshot: MachineSnapshot) -> Machine:
             "snapshot was captured without page contents (fork-style); "
             "it cannot be restored standalone"
         )
-    memory = Memory(strict=snapshot.memory.strict)
-    memory.regions = [
-        MemoryRegion(name, base, size)
-        for name, base, size in snapshot.memory.regions
-    ]
     for index, data in snapshot.memory.pages.items():
         if len(data) != PAGE_SIZE:
             raise SnapshotError(
                 f"page {index:#x} has {len(data)} bytes, "
                 f"expected {PAGE_SIZE}"
             )
-        memory._pages[index] = bytearray(data)
+    # Watching the captured pages again re-arms SMC tracking: the
+    # Machine constructor registers the new hart's code-write hook, so
+    # guest writes to restored code pages invalidate any block the new
+    # hart translates from them.
+    memory = Memory.from_state(
+        snapshot.memory.strict,
+        snapshot.memory.regions,
+        snapshot.memory.pages,
+        snapshot.memory.watched_pages,
+    )
 
     engine = build_engine(snapshot.engine)
     machine = Machine(
@@ -154,14 +157,9 @@ def restore(snapshot: MachineSnapshot) -> Machine:
         cost_model=CostModel(**snapshot.cost),
     )
     apply_scalar_state(machine, snapshot)
-    # Re-arm SMC tracking: the Machine constructor registered the new
-    # hart's code-write hook; watching the captured pages again makes
-    # guest writes to restored code pages invalidate any block the new
-    # hart translates from them.  The translation caches themselves
-    # restart cold — the new BlockCache is empty and the process-wide
-    # decode cache is dropped here, the documented invalidation point.
-    for page_index in snapshot.memory.watched_pages:
-        memory.watch_code_page(page_index)
+    # The translation caches restart cold — the new BlockCache is empty
+    # and the process-wide decode cache is dropped here, the documented
+    # invalidation point.
     machine.hart.blocks.flush()
     machine.hart.superblocks.flush()
     clear_decode_cache()
