@@ -33,7 +33,6 @@ from collections import OrderedDict
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.keys import KeySelect
 from repro.kernel import layout as kmap
-from repro.machine.codecache import SharedCodeRegistry
 from repro.machine.machine import Machine
 from repro.snapshot import fork
 
@@ -61,7 +60,7 @@ def program_digest(program) -> str:
 #: limit.
 DEFAULT_MAX_TEMPLATES = 8
 
-#: Layout/shared-code tables retained beyond the template bound.
+#: Layout tables retained beyond the template bound.
 #: Deliberately larger than ``DEFAULT_MAX_TEMPLATES``: a table must
 #: outlive its template, because live forks keep publishing into it
 #: after an eviction and a re-booted template's new forks must rejoin
@@ -90,17 +89,11 @@ class BootCache:
         #: contributes its translations and adopts its siblings'
         #: (validated byte-for-byte at adoption), so the hot kernel
         #: paths are predecoded once per template, not once per fork.
-        #: Bounded by ``MAX_LAYOUT_TABLES``, *not* tied to template
-        #: eviction (see :meth:`_trim_tables`).
+        #: The first fork to compile a block leaves its code on the
+        #: layout, so siblings skip compilation too.  Bounded by
+        #: ``MAX_LAYOUT_TABLES``, *not* tied to template eviction (see
+        #: :meth:`_trim_tables`).
         self._layouts: OrderedDict[tuple, dict] = OrderedDict()
-        #: Per-template shared compiled code: the first fork to compile
-        #: a block publishes its code object and every sibling rebinds
-        #: it after the same byte-for-byte validation, so forks skip
-        #: compilation exactly as shared layouts let them skip
-        #: translation.
-        self._shared_code: OrderedDict[tuple, SharedCodeRegistry] = (
-            OrderedDict()
-        )
         #: Template boots performed (the expensive operation saved).
         self.boots = 0
         #: Forks handed out.
@@ -123,10 +116,6 @@ class BootCache:
             "fallbacks": self.fallbacks,
             "evictions": self.evictions,
             "layout_tables": len(self._layouts),
-            "shared_code_tables": len(self._shared_code),
-            "shared_code_binds": sum(
-                registry.binds for registry in self._shared_code.values()
-            ),
         }
 
     def publish_metrics(self, registry, prefix: str = "bootcache") -> None:
@@ -165,11 +154,11 @@ class BootCache:
                 self.max_templates is not None
                 and len(self._templates) > self.max_templates
             ):
-                # Evicting a template must NOT drop its layout or
-                # shared-code tables: live forks still publish into
-                # them, and a re-boot of the same key has to rejoin the
-                # table those siblings hold.  Tables have their own
-                # (larger) bound; see _trim_tables.
+                # Evicting a template must NOT drop its layout table:
+                # live forks still publish into it, and a re-boot of the
+                # same key has to rejoin the table those siblings hold.
+                # Tables have their own (larger) bound; see
+                # _trim_tables.
                 self._templates.popitem(last=False)
                 self.evictions += 1
                 self._trim_tables()
@@ -178,10 +167,6 @@ class BootCache:
         child = fork(template)
         child.hart.shared_layouts = self._layouts.setdefault(key, {})
         self._layouts.move_to_end(key)
-        child.hart.shared_code = self._shared_code.setdefault(
-            key, SharedCodeRegistry()
-        )
-        self._shared_code.move_to_end(key)
         for section in user.sections.values():
             if section.data:
                 child.memory.write_bytes(section.base, bytes(section.data))
@@ -191,37 +176,19 @@ class BootCache:
         self.forks += 1
         return child
 
-    def template_cache_keys(self) -> dict[tuple, str]:
-        """Persistent code-cache key of each parked template.
-
-        The key folds the template's compile-relevant configuration
-        (:func:`repro.machine.codecache.config_signature`) with the
-        kernel image digest it was booted from — the kernel-side
-        namespace all of its forks share.  (A full ``CodeCache`` set
-        key additionally folds the user program; this template-scope
-        key is what fleet workers publish so siblings can tell they are
-        drawing from the same compiled set.)
-        """
-        from repro.machine.codecache import cache_key, config_signature
-
-        return {
-            key: cache_key(key[1], config_signature(template.hart))
-            for key, template in self._templates.items()
-        }
-
     # -- internals ---------------------------------------------------------------
 
     def _trim_tables(self) -> None:
-        """Bound the layout/shared-code tables, preferring to drop
-        tables whose template is gone (a live template's table is only
-        sacrificed when evicted keys alone cannot satisfy the bound)."""
-        for tables in (self._layouts, self._shared_code):
-            while len(tables) > MAX_LAYOUT_TABLES:
-                victim = next(
-                    (k for k in tables if k not in self._templates),
-                    next(iter(tables)),
-                )
-                del tables[victim]
+        """Bound the layout tables, preferring to drop tables whose
+        template is gone (a live template's table is only sacrificed
+        when evicted keys alone cannot satisfy the bound)."""
+        tables = self._layouts
+        while len(tables) > MAX_LAYOUT_TABLES:
+            victim = next(
+                (k for k in tables if k not in self._templates),
+                next(iter(tables)),
+            )
+            del tables[victim]
 
     @staticmethod
     def _coverable(user_program) -> bool:

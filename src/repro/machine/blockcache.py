@@ -46,11 +46,6 @@ MAX_BLOCK_INSTRUCTIONS = 64
 #: instead of retranslating everything after a full flush.
 DEFAULT_CAPACITY = 4096
 
-#: Capacity of the per-hart superblock cache (tier 4).  Profiles select
-#: at most a handful of traces per workload; the bound only guards a
-#: pathological profile from caching without limit.
-SUPERBLOCK_CAPACITY = 1024
-
 
 class TranslatedBlock:
     """One predecoded straight-line sequence.
@@ -64,6 +59,7 @@ class TranslatedBlock:
     __slots__ = (
         "entry_pc", "ops", "body", "last", "cycle_bound", "pages",
         "privilege", "exec_count", "compiled", "compile_failed", "links",
+        "layout",
     )
 
     def __init__(
@@ -100,6 +96,10 @@ class TranslatedBlock:
         self.compile_failed = False
         #: Direct chain links: ``next_pc -> (epoch, TranslatedBlock)``.
         self.links: dict = {}
+        #: The shared :class:`BlockLayout` this block was translated
+        #: into or adopted from, or None; compiling the block publishes
+        #: its code there.
+        self.layout = None
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -118,12 +118,17 @@ class BlockLayout:
     user program at the same address, self-modified code) is rejected
     by comparison instead of by an invalidation protocol.
 
+    The first fork to compile the block also leaves its compiled
+    ``(code object, constants)`` in ``code``; an adopting sibling
+    rebinds it after the same byte compare, so forks skip compilation
+    as well as translation.
+
     Sharing is scoped by the boot cache to forks of one template, which
     all carry the same cost model and crypto engine — the cycle bound
-    transfers unchanged.
+    and the compiled code transfer unchanged.
     """
 
-    __slots__ = ("raw", "instructions", "cycle_bound", "pages")
+    __slots__ = ("raw", "instructions", "cycle_bound", "pages", "code")
 
     def __init__(self, raw: bytes, instructions: tuple, cycle_bound: int,
                  pages: frozenset[int]):
@@ -131,6 +136,7 @@ class BlockLayout:
         self.instructions = instructions
         self.cycle_bound = cycle_bound
         self.pages = pages
+        self.code = None
 
 
 #: Entries one shared-layout dict may hold (bounded by code footprint

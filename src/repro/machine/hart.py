@@ -25,12 +25,11 @@ from repro.isa.instructions import Instruction
 from repro.machine.blockcache import (
     MAX_BLOCK_INSTRUCTIONS,
     MAX_SHARED_LAYOUTS,
-    SUPERBLOCK_CAPACITY,
     BlockCache,
     BlockLayout,
     TranslatedBlock,
 )
-from repro.machine.blockcompile import compile_block
+from repro.machine.blockcompile import bind_shared_code, compile_block
 from repro.machine.csr import (
     CSRFile,
     MIE_MTIE,
@@ -119,6 +118,8 @@ class Hart:
         self.shared_layouts: dict | None = None
         #: Translations answered from ``shared_layouts``.
         self.layout_hits = 0
+        #: Adopted layouts whose sibling-compiled code was rebound.
+        self.code_binds = 0
         # -- compiled tier: specialized functions + direct chaining --------
         #: Master switch for the third execution tier (the differential
         #: fuzzer pins it off on one DUT to compare tiers directly).
@@ -134,21 +135,6 @@ class Hart:
         #: Set mid-block by device stores and code-page writes; forces a
         #: return to the machine loop before the next predecoded op.
         self._block_break = False
-        # -- tier 4: persistent cache + trace-length superblocks -----------
-        #: Profile-selected multi-block traces compiled into single
-        #: functions (see :mod:`repro.machine.codecache`), keyed like
-        #: ordinary blocks by ``(entry_pc, privilege)``.  A second
-        #: :class:`BlockCache` gives them page invalidation, LRU
-        #: bounding and epoch semantics for free; empty (the default)
-        #: costs one ``len()`` check per block dispatch.
-        self.superblocks = BlockCache(SUPERBLOCK_CAPACITY)
-        #: :class:`repro.machine.codecache.CodeRecorder` capturing
-        #: compiled sources for persistence, or None.
-        self.code_collector = None
-        #: :class:`repro.machine.codecache.SharedCodeRegistry` shared
-        #: across forks of one template (installed by the boot cache),
-        #: or None.  Published on compile, bound on layout adoption.
-        self.shared_code = None
         # Translation fetches bypass the device bus (code never lives in
         # MMIO, and device reads can have side effects); execution-time
         # loads and stores still go through ``self.bus`` unchanged.
@@ -201,28 +187,6 @@ class Hart:
             return 1
         pc = self.pc
         key = (pc, self.privilege)
-        if (
-            len(self.superblocks)
-            and self.compile_enabled
-            and not self._tracer_stack
-        ):
-            sblock = self.superblocks.lookup(key)
-            if (
-                sblock is not None
-                and sblock.compiled is not None
-                and len(sblock.ops) <= limit
-                and not (
-                    self.cycles + sblock.cycle_bound >= deadline
-                    and self._timer_deliverable()
-                )
-            ):
-                # The summed cycle bound proves no deliverable timer
-                # can fire before the whole trace retires, so entering
-                # the superblock is the single-block guard extended to
-                # the trace length.
-                return self._run_compiled(
-                    sblock, sblock.compiled, limit, deadline
-                )
         block = self.blocks.lookup(key)
         if block is None:
             block = self._translate(pc, key)
@@ -312,25 +276,6 @@ class Hart:
             if self._take_pending_interrupt():
                 return total + 1
             next_pc = self.pc
-            sblocks = self.superblocks
-            if len(sblocks):
-                sblock = sblocks.peek((next_pc, block.privilege))
-                if (
-                    sblock is not None
-                    and sblock.compiled is not None
-                    and len(sblock.ops) <= limit - total
-                    and not (
-                        self.cycles + sblock.cycle_bound >= deadline
-                        and self._timer_deliverable()
-                    )
-                ):
-                    # Superblocks are never cached in ``links`` — the
-                    # two caches have independent epochs — but a trace
-                    # whose exit lands on a superblock head (its own
-                    # included) chains straight back in.
-                    block = sblock
-                    fn = sblock.compiled
-                    continue
             epoch = blocks.epoch
             entry = block.links.get(next_pc)
             if entry is not None and entry[0] == epoch:
@@ -371,7 +316,8 @@ class Hart:
         the comparison makes sharing unconditionally safe: a sibling
         fork's layout for code this machine has since overwritten (or
         never had) simply fails to match and translation proceeds
-        normally.
+        normally.  A layout carrying a sibling's compiled code has that
+        code rebound too, after the same compare.
         """
         shared = self.shared_layouts
         if shared is None:
@@ -392,19 +338,17 @@ class Hart:
         block = TranslatedBlock(
             pc, ops, layout.cycle_bound, layout.pages, int(key[1])
         )
+        block.layout = layout
         self.blocks.insert(key, block)
         if hasattr(mem, "watch_code_page"):
             for page in layout.pages:
                 mem.watch_code_page(page)
         self.layout_hits += 1
-        shared_code = self.shared_code
-        if shared_code is not None:
-            # The raw bytes were just validated against live memory, so
-            # a sibling's compiled function can be rebound directly —
-            # the fork skips compilation as well as translation.
-            fn = shared_code.bind(self, key, layout.raw)
+        if layout.code is not None:
+            fn = bind_shared_code(self, layout.code)
             if fn is not None:
                 block.compiled = fn
+                self.code_binds += 1
         return block
 
     def _translate(self, pc: int, key: tuple[int, int]) -> TranslatedBlock | None:
@@ -472,7 +416,7 @@ class Hart:
             except (MemoryFault, AttributeError):
                 raw = None
             if raw is not None:
-                shared[key] = BlockLayout(
+                block.layout = shared[key] = BlockLayout(
                     raw, tuple(ins for _, ins in ops), bound, pages
                 )
         if trace is not None:
@@ -486,8 +430,6 @@ class Hart:
 
     def _on_code_write(self, page_index: int) -> None:
         self.blocks.invalidate_page(page_index)
-        if len(self.superblocks):
-            self.superblocks.invalidate_page(page_index)
         self._block_break = True
 
     def _timer_deliverable(self) -> bool:
@@ -646,8 +588,6 @@ class Hart:
             # all go through the instance attribute.
             self._enter_trap = enter_trap
         self.blocks.flush()
-        if len(self.superblocks):
-            self.superblocks.flush()
 
     def detach_tracer(self) -> None:
         """Undo the most recent :meth:`attach_tracer` exactly."""
@@ -657,8 +597,6 @@ class Hart:
         self._dispatch = saved["dispatch"]
         self._enter_trap = saved["enter_trap"]
         self.blocks.flush()
-        if len(self.superblocks):
-            self.superblocks.flush()
 
     def attach_speculation(self, spec) -> None:
         """Attach a :class:`repro.machine.spec.SpeculativeEngine`.

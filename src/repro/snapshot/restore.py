@@ -161,7 +161,6 @@ def restore(snapshot: MachineSnapshot) -> Machine:
     # and the process-wide decode cache is dropped here, the documented
     # invalidation point.
     machine.hart.blocks.flush()
-    machine.hart.superblocks.flush()
     clear_decode_cache()
     if telemetry.active():
         telemetry.emit(

@@ -118,30 +118,6 @@ def test_extract_metrics_pulls_tracked_values():
     )
 
 
-def test_warm_start_metric_extracts_and_tracks():
-    from repro.perf.trend import TRACKED_METRICS
-
-    assert "cache.warm_vs_cold" in TRACKED_METRICS
-    report = _bench_report()
-    report["workloads"]["kernel_boot_warm_start"] = {
-        "kind": "codecache",
-        "equivalent": True,
-        "warm_vs_cold": 9.5,
-        "cold": {"wall_seconds": 2.0},
-        "warm": {"wall_seconds": 0.4},
-    }
-    metrics = extract_metrics(report)
-    assert metrics["cache.warm_vs_cold"] == 9.5
-    # Reports without the workload simply omit the metric.
-    assert "cache.warm_vs_cold" not in extract_metrics(_bench_report())
-    # A history entry carrying it passes the entry validator.
-    entry = make_entry(
-        report, timestamp="2026-08-09T00:00:00Z", label="ci"
-    )
-    assert validate_history_entry(entry) == []
-    assert validate_bench(report) == []
-
-
 def test_entry_passes_its_own_validator():
     entry = make_entry(
         _bench_report(), _fuzz_report(),

@@ -154,8 +154,7 @@ class TestBoundedTemplates:
         assert stats == {
             "templates": 1, "max_templates": 1, "boots": 2,
             "forks": 2, "fallbacks": 0, "evictions": 1,
-            "layout_tables": 2, "shared_code_tables": 2,
-            "shared_code_binds": 0,
+            "layout_tables": 2,
         }
         registry = MetricsRegistry()
         cache.publish_metrics(registry)
@@ -245,30 +244,82 @@ class TestSharedLayouts:
         assert len(cache._layouts) == MAX_LAYOUT_TABLES
 
 
-class TestTemplateCacheKeys:
-    def test_templates_publish_persistent_cache_keys(self):
-        cache = BootCache()
-        KernelSession(
-            KernelConfig.baseline(), _exit_module(1), boot_cache=cache
-        ).run()
-        KernelSession(
-            KernelConfig.full(), _exit_module(1), boot_cache=cache
-        ).run()
-        keys = cache.template_cache_keys()
-        assert len(keys) == 2
-        values = list(keys.values())
-        # 16-hex-digit keys, distinct per configuration.
-        assert all(
-            len(value) == 16 and int(value, 16) >= 0 for value in values
-        )
-        assert len(set(values)) == 2
+def _loop_module(shift: int):
+    """A loop hot enough to compile; ``shift`` is encoded in its body."""
+    from repro.bench.workloads.base import make_user_module
 
-    def test_same_config_same_key_across_caches(self):
-        keys = []
-        for _ in range(2):
-            cache = BootCache()
-            KernelSession(
-                KernelConfig.full(), _exit_module(1), boot_cache=cache
-            ).run()
-            keys.extend(cache.template_cache_keys().values())
-        assert keys[0] == keys[1]
+    def body(lb):
+        b = lb.b
+        acc = lb.accumulate()
+
+        def iteration(lb2, i):
+            b = lb2.b
+            lb2.add_into(acc, b.xor(i, b.shr(acc, shift)))
+
+        lb.loop(400, iteration)
+        lb.exit(b.and_(acc, 0xFF))
+
+    return make_user_module(body)
+
+
+def _compiled_user_blocks(session) -> dict:
+    """``entry_pc -> compiled code object`` of the user-mode blocks."""
+    return {
+        pc: block.compiled.__code__
+        for (pc, privilege), block
+        in session.machine.hart.blocks._blocks.items()
+        if privilege == 0 and block.compiled is not None
+    }
+
+
+class TestSharedCompiledCode:
+    """The first fork to compile a block leaves its code on the shared
+    layout; siblings with the same bytes rebind it, others recompile."""
+
+    def test_sibling_binds_compiled_code_exactly(self):
+        from repro.machine.compare import state_digest
+
+        config = KernelConfig.full()
+        cache = BootCache()
+        first = KernelSession(config, _loop_module(3), boot_cache=cache)
+        first.run()
+        first_code = _compiled_user_blocks(first)
+        assert first_code, "the loop never reached the compile threshold"
+        assert first.machine.hart.code_binds == 0
+
+        second = KernelSession(config, _loop_module(3), boot_cache=cache)
+        second.run()
+        hart = second.machine.hart
+        assert hart.code_binds > 0
+        assert hart.compiled_blocks < first.machine.hart.compiled_blocks
+        second_code = _compiled_user_blocks(second)
+        for pc, code in first_code.items():
+            assert second_code[pc] is code
+        fresh = KernelSession(config, _loop_module(3))
+        fresh.run()
+        assert state_digest(second.machine) == state_digest(fresh.machine)
+
+    def test_sibling_with_different_bytes_recompiles(self):
+        from repro.machine.compare import state_digest
+
+        config = KernelConfig.full()
+        cache = BootCache()
+        first = KernelSession(config, _loop_module(3), boot_cache=cache)
+        first.run()
+        first_code = _compiled_user_blocks(first)
+        # Same shape, different shift immediate in the loop body: the
+        # loop sits at the same PC with different bytes.
+        other = KernelSession(config, _loop_module(5), boot_cache=cache)
+        other.run()
+        other_code = _compiled_user_blocks(other)
+        assert other.machine.hart.compiled_blocks > 0
+        for pc, code in first_code.items():
+            span = 4 * len(first.machine.hart.blocks.peek((pc, 0)).ops)
+            assert (
+                first.machine.memory.read_bytes(pc, span)
+                != other.machine.memory.read_bytes(pc, span)
+            )
+            assert other_code[pc] is not code
+        fresh = KernelSession(config, _loop_module(5))
+        fresh.run()
+        assert state_digest(other.machine) == state_digest(fresh.machine)
