@@ -89,7 +89,7 @@ class TranslatedBlock:
         #: Executions through the block interpreter; once this crosses
         #: the hart's compile threshold the block is compiled.
         self.exec_count = 0
-        #: ``fn(hart) -> +steps`` (chainable exit) / ``-steps``
+        #: ``fn(hart, budget, stop) -> +steps`` (chainable exit) / ``-steps``
         #: (trap, device store, CSR/system last op), or None.
         self.compiled = None
         #: Codegen refused this block; don't retry every execution.

@@ -10,7 +10,8 @@ registers the block touches live in locals, and ``instret``/``cycles``
 are accumulated as constants between the points where something could
 observe them.
 
-The generated function's contract with the hart (``fn(hart) -> int``):
+The generated function's contract with the hart
+(``fn(hart, budget, stop) -> int``):
 
 * a **positive** return ``n`` means ``n`` instructions retired and the
   block exited through its terminal branch/jump/fallthrough with
@@ -40,6 +41,17 @@ Exactness rules mirrored from the interpreter, in codegen form:
   ``mret`` observe the same architectural view as under ``step()``;
 * crypto ops fold the block's privilege level into the call (blocks
   are keyed by ``(pc, privilege)``, so it cannot change mid-block).
+
+A block whose terminal branch targets its own entry is generated as a
+loop: the body runs inside ``while True:`` with registers kept in
+locals across iterations, and every exit writes back the block's whole
+written set.  The taken edge adds the iteration's ``instret`` and
+``cycles`` and re-enters the body only when the chain executor would
+have re-entered the same block with nothing to do in between: another
+iteration fits ``budget`` (the steps the caller may still retire) and
+its cycle bound stays below ``stop`` (the timer deadline, until a
+masked crossing has set MTIP).  Returns then count every iteration's
+steps.  Other blocks ignore ``budget`` and ``stop``.
 """
 
 from __future__ import annotations
@@ -166,13 +178,27 @@ class _Codegen:
         self.env: dict = {}
         #: Cycle cost accumulated since the last flush (a literal).
         self.pending = 0
-        self.written: set[int] = set()
-        self.loaded: set[int] = set()
+        ops = block.ops
+        last = ops[-1][1]
+        last_pc = block.entry_pc + 4 * (len(ops) - 1)
+        #: The terminal branch re-enters the block: generate a loop.
+        self.loop = (
+            last.mnemonic in tab.BRANCHES
+            and (last_pc + last.imm) & MASK64 == block.entry_pc
+        )
+        # In a loop, an exit in a later iteration must write back every
+        # register an earlier one may have changed.
+        self.written: set[int] = (
+            {ins.rd for _, ins in ops if ins.rd} if self.loop else set()
+        )
+        self.loaded: set[int] = set(self.written)
+        #: The loop body sits one level deeper.
+        self.shift = 1 if self.loop else 0
 
     # -- small emission helpers -------------------------------------------
 
     def emit(self, line: str, indent: int = 1) -> None:
-        self.lines.append("    " * indent + line)
+        self.lines.append("    " * (indent + self.shift) + line)
 
     def flush_cycles(self, indent: int = 1) -> None:
         if self.pending:
@@ -193,6 +219,12 @@ class _Codegen:
         self.written.add(number)
         return f"r{number}"
 
+    def steps(self, count: int) -> str:
+        """The steps this call has retired once ``count`` instructions
+        of the current pass have (a loop counts earlier passes in
+        ``_n``)."""
+        return f"_n + {count}" if self.loop else str(count)
+
     def writeback(self, indent: int) -> None:
         for number in sorted(self.written):
             self.emit(f"regs[{number}] = r{number}", indent)
@@ -204,7 +236,7 @@ class _Codegen:
         if index:
             self.emit(f"hart.instret += {index}", indent)
         self.emit(f"hart._enter_trap({trap_expr}, {pc})", indent)
-        self.emit(f"return {-(index + 1)}", indent)
+        self.emit(f"return -({self.steps(index + 1)})", indent)
 
     # -- per-op emitters ---------------------------------------------------
 
@@ -269,7 +301,7 @@ class _Codegen:
         self.emit(f"hart.pc = {pc + 4}", 2)
         self.emit(f"hart.instret += {index + 1}", 2)
         self.emit(f"hart.cycles += {store_cost}", 2)
-        self.emit(f"return {-(index + 1)}", 2)
+        self.emit(f"return -({self.steps(index + 1)})", 2)
         self.pending += store_cost
 
     def op_crypto(self, ins, index: int, pc: int) -> None:
@@ -310,8 +342,18 @@ class _Codegen:
             self.reg(ins.rs1), self.reg(ins.rs2)
         )
         self.emit(f"if {cond}:")
-        self.chainable_exit((pc + ins.imm) & MASK64, count,
-                            self.pending + taken, 2)
+        if self.loop:
+            self.emit(f"hart.instret += {count}", 2)
+            self.emit(f"hart.cycles += {self.pending + taken}", 2)
+            self.emit(f"_n += {count}", 2)
+            self.emit("if _n <= budget and hart.cycles < stop:", 2)
+            self.emit("continue", 3)
+            self.writeback(2)
+            self.emit(f"hart.pc = {self.block.entry_pc}", 2)
+            self.emit("return _n", 2)
+        else:
+            self.chainable_exit((pc + ins.imm) & MASK64, count,
+                                self.pending + taken, 2)
         self.chainable_exit(pc + 4, count, self.pending + not_taken, 1)
         self.pending = 0
 
@@ -346,7 +388,7 @@ class _Codegen:
         if cycles:
             self.emit(f"hart.cycles += {cycles}", indent)
         self.emit(f"hart.pc = {target}", indent)
-        self.emit(f"return {count}", indent)
+        self.emit(f"return {self.steps(count)}", indent)
 
     def last_handler(self, handler, ins, pc: int, count: int) -> None:
         """CSR/system final op: sync everything, call the real handler."""
@@ -407,9 +449,18 @@ class _Codegen:
             if is_last and mnemonic not in BLOCK_TERMINATORS:
                 self.last_fallthrough(pc, count)
 
-        header = ["def _block(hart):", "    regs = hart.regs._regs"]
+        header = ["def _block(hart, budget, stop):", "    regs = hart.regs._regs"]
         for number in sorted(self.loaded):
             header.append(f"    r{number} = regs[{number}]")
+        if self.loop:
+            # Loop again only while ``_n + count <= budget`` and
+            # ``hart.cycles + cycle_bound < stop``.
+            header += [
+                f"    budget -= {count}",
+                f"    stop -= {block.cycle_bound}",
+                "    _n = 0",
+                "    while True:",
+            ]
         return "\n".join(header + self.lines) + "\n"
 
 

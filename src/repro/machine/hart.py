@@ -257,15 +257,26 @@ class Hart:
           replayed set-only: mtime *is* the live cycle counter and
           mtimecmp cannot change mid-chain (device stores break out),
           so timer pendency is monotone within a chain;
+        * a chained block cannot change ``mie``, ``mstatus`` or
+          privilege either, so ``run_block``'s entry check settled
+          every interrupt except one raised by crossing ``deadline``:
+          only a crossing looks at the enables.  Once a masked crossing
+          has set MTIP, the deadline is dropped for the rest of the
+          chain;
         * the next block must fit the remaining step budget and pass
           the same cycle-bound deadline guard as ``run_block``, and is
           only entered through an epoch-validated direct link.
+
+        ``fn(hart, budget, stop)`` gets the remaining step budget and
+        the deadline: a self-looping block re-enters itself in place
+        only while this loop would have re-entered it, never crossing
+        the deadline before MTIP is set.
         """
         blocks = self.blocks
         total = 0
         while True:
             self._block_break = False
-            executed = fn(self)
+            executed = fn(self, limit - total, deadline)
             if executed < 0:
                 return total - executed
             total += executed
@@ -273,8 +284,9 @@ class Hart:
                 return total
             if self.cycles >= deadline:
                 self.csrs.set_mip_bit(MIP_MTIP, True)
-            if self._take_pending_interrupt():
-                return total + 1
+                if self._take_pending_interrupt():
+                    return total + 1
+                deadline = MASK64
             next_pc = self.pc
             epoch = blocks.epoch
             entry = block.links.get(next_pc)

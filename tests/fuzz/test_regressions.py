@@ -32,6 +32,8 @@ REQUIRED = {
     "smc_into_chained_successor",
     "timer_mid_block",
     "timer_mid_chain",
+    "timer_masked_self_loop",
+    "smc_in_self_loop",
     "ksel_invalidation",
     "misaligned_access",
     "sealed_csr",

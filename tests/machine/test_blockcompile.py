@@ -15,6 +15,8 @@ import pytest
 from repro.isa import assemble
 from repro.machine.blockcompile import compile_block
 from repro.machine.compare import architectural_state, diff_states
+from repro.machine.csr import MIP_MTIP
+from repro.utils.bits import MASK64
 from tests.conftest import HALT, machine_with_keys
 
 
@@ -224,15 +226,34 @@ loop:
         return machine
 
     def test_links_populated(self):
-        machine = self._hot_loop()
+        # A two-block loop: the head branches forward to a tail block
+        # that branches back, so both edges are chain links (a block
+        # that branches to its own entry loops in place instead).
+        program = assemble(f"""
+_start:
+    li s0, 0
+    li s1, 100
+loop:
+    addi s2, s2, 3
+    addi s0, s0, 1
+    bge s0, zero, tail
+    addi s2, s2, 100
+tail:
+    addi s3, s3, 1
+    blt s0, s1, loop
+{HALT}
+""")
+        machine = machine_with_keys(program)
+        machine.hart.compile_threshold = 1
         machine.run(10_000, fast=True)
         hart = machine.hart
+        assert hart.regs.by_name("s2") == 300
         linked = [
             block for (_, block) in [
                 (k, hart.blocks.peek(k)) for k in list(hart.blocks._blocks)
             ] if block is not None and block.links
         ]
-        assert linked, "no chain links recorded on a hot self-loop"
+        assert linked, "no chain links recorded on a two-block loop"
         for block in linked:
             assert len(block.links) <= hart._MAX_CHAIN_LINKS
             for epoch, target in block.links.values():
@@ -280,6 +301,141 @@ tail:
         machine.hart.compile_enabled = False
         machine.run(10_000, fast=True)
         assert machine.hart.compiled_blocks == 0
+
+
+class TestSelfLoop:
+    """A block whose terminal branch targets its own entry loops inside
+    its generated function; every way out must leave the state that
+    single-stepping leaves."""
+
+    # Prologue: 4 instructions; loop body: 5 instructions.
+    LOOP = f"""
+_start:
+    li s0, 0
+    li s1, 50
+    la s3, buf
+loop:
+    sd s0, 0(s3)
+    addi s3, s3, 8
+    addi s0, s0, 1
+    add s2, s2, s0
+    blt s0, s1, loop
+    add a0, s2, s0
+{HALT}
+.data
+.align 3
+buf:
+    .zero 512
+"""
+
+    @pytest.mark.parametrize("max_steps", range(4 + 5 * 3, 4 + 5 * 5))
+    def test_step_limit_at_every_residue(self, max_steps):
+        step, compiled = run_tiers(self.LOOP, max_steps)
+        assert compiled.hart.instret == max_steps
+        assert_equivalent(step, compiled)
+
+    def test_fall_through_exit(self):
+        step, compiled = run_tiers(self.LOOP)
+        assert_equivalent(step, compiled)
+        # sum(1..50) + 50, computed after the loop falls through.
+        assert compiled.hart.regs.by_name("a0") == 1325
+
+    def test_one_call_runs_the_whole_loop(self):
+        program = assemble(self.LOOP)
+        machine = machine_with_keys(program)
+        hart = machine.hart
+        hart.compile_threshold = 1
+        loop_pc = program.symbol("loop")
+        assert machine.run_until(loop_pc)
+        block = hart._translate(loop_pc, (loop_pc, hart.privilege))
+        fn = compile_block(hart, block)
+        retired = hart._run_compiled(block, fn, 10_000, MASK64)
+        assert retired == 50 * len(block.ops) > len(block.ops)
+        assert hart.pc == loop_pc + 4 * len(block.ops)
+        assert not block.links
+
+    # Timer armed 40 cycles ahead with MTIE on but mstatus.MIE off in
+    # machine mode: the loop crosses the deadline with the interrupt
+    # masked, so MTIP must read back as pending.
+    MASKED_TIMER = f"""
+_start:
+    csrr t0, cycle
+    addi t0, t0, 40
+    li t1, 0x02004000
+    sd t0, 0(t1)
+    li t2, 128
+    csrs mie, t2
+    li s0, 0
+    li s1, 30
+loop:
+    addi s0, s0, 1
+    addi s2, s2, 3
+    xor s3, s3, s2
+    blt s0, s1, loop
+    csrr a0, mip
+{HALT}
+"""
+
+    def test_masked_timer_crossing_then_mip_read(self):
+        step, compiled = run_tiers(self.MASKED_TIMER)
+        assert_equivalent(step, compiled)
+        assert compiled.hart.regs.by_name("a0") & MIP_MTIP
+
+    @pytest.mark.parametrize("max_steps", range(40, 60))
+    def test_masked_timer_crossing_then_step_limit(self, max_steps):
+        # The run stops mid-loop after the crossing: MTIP must already
+        # be set, as it is between single steps.
+        step, compiled = run_tiers(self.MASKED_TIMER, max_steps)
+        assert_equivalent(step, compiled)
+
+    # Stores go to ``buf`` on every iteration but the seventh, which
+    # stores to ``s4`` instead (``t0`` is 1 only when s0 == 7).
+    SELECTED_STORE = """
+_start:
+{setup}
+    la s3, buf
+    sub s5, s4, s3
+    li s0, 0
+    li s1, 20
+loop:
+    addi s0, s0, 1
+    xori t0, s0, 7
+    sltiu t0, t0, 1
+    mul t1, t0, s5
+    add t1, t1, s3
+    {store}
+{after}
+    blt s0, s1, loop
+{halt}
+.data
+.align 3
+buf:
+    .zero 64
+"""
+
+    def test_device_store_mid_loop(self):
+        step, compiled = run_tiers(self.SELECTED_STORE.format(
+            setup="    li s4, 0x10000000",
+            store="sb s0, 0(t1)",
+            after="",
+            halt=HALT,
+        ))
+        assert_equivalent(step, compiled)
+        assert compiled.uart.output == bytes([7])
+
+    def test_store_into_own_code_page(self):
+        # On iteration 7 the store rewrites the ``addi s2, s2, 1`` that
+        # follows it into ``addi s2, s2, 5`` (word 0x00590913), which
+        # must take effect in that same iteration.
+        step, compiled = run_tiers(self.SELECTED_STORE.format(
+            setup="    la s4, patch\n    li s6, 0x00590913",
+            store="sw s6, 0(t1)",
+            after="patch:\n    addi s2, s2, 1",
+            halt=HALT,
+        ))
+        assert_equivalent(step, compiled)
+        assert compiled.hart.regs.by_name("s2") == 6 * 1 + 14 * 5
+        assert compiled.hart.blocks.invalidated_blocks > 0
 
 
 class TestTelemetryInteraction:
