@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from repro.bench.workloads.base import Workload
 from repro.errors import ReproError
 from repro.kernel import KernelConfig, KernelSession
+from repro.kernel.build import build_kernel
 from repro.machine import HaltReason
 
 
@@ -33,6 +34,13 @@ class Measurement:
         return self.cycles / self.instructions if self.instructions else 0.0
 
 
+#: ``(workload, scale) -> (user Program, user asm)``.  User code is
+#: built unprotected whatever the config, so a matrix row links one user
+#: build against each config's (cached) kernel side; programs are never
+#: mutated after assembly, so sharing them is safe.
+_USER_BUILDS: dict[tuple[Workload, float], tuple] = {}
+
+
 def run_workload(
     workload: Workload,
     config: KernelConfig,
@@ -48,9 +56,13 @@ def run_workload(
     import dataclasses
 
     config = dataclasses.replace(config, num_threads=workload.num_threads)
-    session = KernelSession(
-        config, workload.module(scale), boot_cache=boot_cache
-    )
+    user_build = _USER_BUILDS.get((workload, scale))
+    if user_build is None:
+        image = build_kernel(config, workload.module(scale))
+        _USER_BUILDS[(workload, scale)] = (image.user_program, image.user_asm)
+    else:
+        image = build_kernel(config, user_build=user_build)
+    session = KernelSession(config, image=image, boot_cache=boot_cache)
     # Fast-forward boot; measure from the first user instruction.
     reached = session.run_until(
         session.image.user_program.entry, max_steps=workload.max_steps

@@ -33,6 +33,7 @@ from collections import OrderedDict
 from repro.crypto.engine import CryptoEngine
 from repro.crypto.keys import KeySelect
 from repro.kernel import layout as kmap
+from repro.machine.blockcache import LayoutTable
 from repro.machine.machine import Machine
 from repro.snapshot import fork
 
@@ -93,7 +94,7 @@ class BootCache:
         #: layout, so siblings skip compilation too.  Bounded by
         #: ``MAX_LAYOUT_TABLES``, *not* tied to template eviction (see
         #: :meth:`_trim_tables`).
-        self._layouts: OrderedDict[tuple, dict] = OrderedDict()
+        self._layouts: OrderedDict[tuple, LayoutTable] = OrderedDict()
         #: Template boots performed (the expensive operation saved).
         self.boots = 0
         #: Forks handed out.
@@ -165,7 +166,9 @@ class BootCache:
         else:
             self._templates.move_to_end(key)
         child = fork(template)
-        child.hart.shared_layouts = self._layouts.setdefault(key, {})
+        child.hart.shared_layouts = self._layouts.setdefault(
+            key, LayoutTable()
+        )
         self._layouts.move_to_end(key)
         for section in user.sections.values():
             if section.data:

@@ -185,10 +185,19 @@ def _build_kernel_side(config: KernelConfig, user_entry: int):
 
 
 def build_kernel(
-    config: KernelConfig, user_module: Module | None = None
+    config: KernelConfig,
+    user_module: Module | None = None,
+    user_build: tuple[Program, str] | None = None,
 ) -> KernelImage:
-    """Produce the full two-image (kernel + user) build."""
-    user_program, user_asm = build_user_program(user_module)
+    """Produce the full two-image (kernel + user) build.
+
+    ``user_build`` is a ready :func:`build_user_program` result to link
+    instead of building ``user_module``: user code does not depend on
+    the config, so one build can serve every config.
+    """
+    if user_build is None:
+        user_build = build_user_program(user_module)
+    user_program, user_asm = user_build
     kernel_program, compiled, kernel_asm = _build_kernel_side(
         config, user_program.entry
     )

@@ -106,8 +106,8 @@ class TranslatedBlock:
 
 
 class BlockLayout:
-    """The hart-independent part of a translation, shareable via
-    :attr:`repro.machine.hart.Hart.shared_layouts`.
+    """The hart-independent part of a translation, shareable through a
+    :class:`LayoutTable`.
 
     Handlers are closures over one hart, so a :class:`TranslatedBlock`
     cannot cross machines — but the predecoded instruction sequence,
@@ -139,9 +139,51 @@ class BlockLayout:
         self.code = None
 
 
-#: Entries one shared-layout dict may hold (bounded by code footprint
-#: in practice; the cap only guards degenerate self-modifying guests).
+#: Layouts one :class:`LayoutTable` may hold over all its keys (bounded
+#: by code footprint in practice; the cap only guards degenerate
+#: self-modifying guests).
 MAX_SHARED_LAYOUTS = 8192
+
+#: Byte-distinct layouts kept per ``(pc, privilege)`` key, the oldest
+#: dropped first: enough for every user program one template serves in
+#: a Figure-5 matrix, few enough that a guest rewriting its own code
+#: cannot grow the scan at adoption.
+MAX_LAYOUT_VARIANTS = 16
+
+
+class LayoutTable(dict):
+    """``(pc, privilege) -> [BlockLayout, ...]`` shared by the forks of
+    one template (see :attr:`repro.machine.hart.Hart.shared_layouts`).
+
+    Forks run different user programs at the same addresses, so one key
+    holds one variant per distinct byte sequence seen there; an
+    adopting hart takes the variant that matches its live memory.
+    """
+
+    __slots__ = ("layouts",)
+
+    def __init__(self):
+        super().__init__()
+        #: Layouts held over every key (what ``MAX_SHARED_LAYOUTS``
+        #: bounds).
+        self.layouts = 0
+
+    def add(self, key: tuple[int, int], layout: BlockLayout) -> bool:
+        """Publish ``layout`` as a new variant of ``key``; False when
+        the table is full."""
+        variants = self.get(key)
+        if variants is not None and len(variants) >= MAX_LAYOUT_VARIANTS:
+            del variants[0]
+            variants.append(layout)
+            return True
+        if self.layouts >= MAX_SHARED_LAYOUTS:
+            return False
+        if variants is None:
+            self[key] = [layout]
+        else:
+            variants.append(layout)
+        self.layouts += 1
+        return True
 
 
 class BlockCache:

@@ -49,8 +49,8 @@ written set.  The taken edge adds the iteration's ``instret`` and
 ``cycles`` and re-enters the body only when the chain executor would
 have re-entered the same block with nothing to do in between: another
 iteration fits ``budget`` (the steps the caller may still retire) and
-its cycle bound stays below ``stop`` (the timer deadline, until a
-masked crossing has set MTIP).  Returns then count every iteration's
+its cycle bound stays below ``stop`` (the timer deadline, or ``MASK64``
+once the timer has crossed).  Returns then count every iteration's
 steps.  Other blocks ignore ``budget`` and ``stop``.
 """
 
@@ -464,6 +464,15 @@ class _Codegen:
         return "\n".join(header + self.lines) + "\n"
 
 
+def _hart_env(hart) -> dict:
+    """The hart-dependent globals every generated function shares, built
+    once per hart; callers copy it before adding per-block constants."""
+    env = hart._code_env
+    if env is None:
+        env = hart._code_env = _build_env(hart)
+    return env
+
+
 def _build_env(hart) -> dict:
     bus = hart.bus
     return {
@@ -517,7 +526,7 @@ def bind_shared_code(hart, code):
     lookup fails.
     """
     code_object, consts = code
-    env = _build_env(hart)
+    env = dict(_hart_env(hart))
     env.update(consts)
     last_ins = consts.get("_il")
     if last_ins is not None:
@@ -543,7 +552,7 @@ def compile_block(hart, block):
     except _Unsupported:
         block.compile_failed = True
         return None
-    env = _build_env(hart)
+    env = dict(_hart_env(hart))
     env.update(generator.env)
     namespace: dict = {}
     exec(  # noqa: S102 - source is synthesized above, not external input

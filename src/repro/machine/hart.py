@@ -24,15 +24,14 @@ from repro.isa.decoder import BLOCK_TERMINATORS, decode_cached, predecode
 from repro.isa.instructions import Instruction
 from repro.machine.blockcache import (
     MAX_BLOCK_INSTRUCTIONS,
-    MAX_SHARED_LAYOUTS,
     BlockCache,
     BlockLayout,
+    LayoutTable,
     TranslatedBlock,
 )
 from repro.machine.blockcompile import bind_shared_code, compile_block
 from repro.machine.csr import (
     CSRFile,
-    MIE_MTIE,
     MIP_MTIP,
     MSTATUS_MIE,
     MSTATUS_MPIE,
@@ -110,14 +109,18 @@ class Hart:
         self.spec = None
         # -- fast path: basic-block translation cache ----------------------
         self.blocks = BlockCache()
-        #: ``(pc, privilege) -> BlockLayout`` dict shared across forks
-        #: of one warm template (installed by the boot cache, None
-        #: otherwise).  Layouts are validated byte-for-byte against
-        #: live memory before adoption, so the dict needs no
+        #: :class:`LayoutTable` shared across forks of one warm
+        #: template (installed by the boot cache, None otherwise): per
+        #: ``(pc, privilege)``, the byte-distinct layouts siblings have
+        #: translated there.  Each is validated byte-for-byte against
+        #: live memory before adoption, so the table needs no
         #: invalidation and tolerates siblings with divergent memory.
-        self.shared_layouts: dict | None = None
+        self.shared_layouts: LayoutTable | None = None
         #: Translations answered from ``shared_layouts``.
         self.layout_hits = 0
+        #: Lookups that found layouts for the key but none matching
+        #: live memory (each one translates and adds a variant).
+        self.layout_rejects = 0
         #: Adopted layouts whose sibling-compiled code was rebound.
         self.code_binds = 0
         # -- compiled tier: specialized functions + direct chaining --------
@@ -132,6 +135,9 @@ class Hart:
         self.compile_threshold = 16
         #: Blocks compiled so far (mirrored into telemetry metrics).
         self.compiled_blocks = 0
+        #: Globals shared by this hart's generated functions (built by
+        #: :mod:`repro.machine.blockcompile` on first use).
+        self._code_env: dict | None = None
         #: Set mid-block by device stores and code-page writes; forces a
         #: return to the machine loop before the next predecoded op.
         self._block_break = False
@@ -176,7 +182,10 @@ class Hart:
           memory, CSR and cycle effects are bit-identical;
         * a pending interrupt is taken at the block boundary, and the
           ``deadline`` guard falls back to single-stepping whenever the
-          machine timer could become deliverable mid-block;
+          machine timer could become pending mid-block, so MIP is
+          refreshed on the same instruction as in the step loop —
+          whether the interrupt is then taken, read back through
+          ``mip`` or left pending when the run stops;
         * device stores and writes to translated code pages end the
           block before the next predecoded instruction.
 
@@ -193,14 +202,17 @@ class Hart:
         if block is None or len(block.ops) > limit:
             self.step()
             return 1
-        if (
-            self.cycles + block.cycle_bound >= deadline
-            and self._timer_deliverable()
-        ):
-            # The timer could fire mid-block: single-step so interrupt
-            # delivery lands on the same instruction as the slow path.
-            self.step()
-            return 1
+        if self.cycles + block.cycle_bound >= deadline:
+            if self.cycles < deadline:
+                # The timer could cross mid-block: single-step so MTIP
+                # is set (and, if enabled, taken) on the same
+                # instruction as in the step loop.
+                self.step()
+                return 1
+            # Already crossed: the machine loop has set MTIP and the
+            # interrupt is not deliverable (it would have been taken
+            # above), so running on past the deadline changes nothing.
+            deadline = MASK64
         if self.compile_enabled and not self._tracer_stack:
             fn = block.compiled
             if fn is None and not block.compile_failed:
@@ -253,24 +265,18 @@ class Hart:
         * a negative return from ``fn`` (trap, device store, code-page
           write, CSR/system op) is never chained — those exits can move
           mtimecmp, keys, privilege or the shutdown flag;
-        * between chained blocks the machine loop's MIP refresh is
-          replayed set-only: mtime *is* the live cycle counter and
-          mtimecmp cannot change mid-chain (device stores break out),
-          so timer pendency is monotone within a chain;
-        * a chained block cannot change ``mie``, ``mstatus`` or
-          privilege either, so ``run_block``'s entry check settled
-          every interrupt except one raised by crossing ``deadline``:
-          only a crossing looks at the enables.  Once a masked crossing
-          has set MTIP, the deadline is dropped for the rest of the
-          chain;
+        * the machine loop's MIP refresh between blocks needs no replay:
+          mtime *is* the live cycle counter, mtimecmp cannot change
+          mid-chain (device stores break out), and no chained block may
+          reach ``deadline`` (``MASK64`` once the timer has crossed),
+          so timer pendency is the same at every boundary;
         * the next block must fit the remaining step budget and pass
           the same cycle-bound deadline guard as ``run_block``, and is
           only entered through an epoch-validated direct link.
 
         ``fn(hart, budget, stop)`` gets the remaining step budget and
         the deadline: a self-looping block re-enters itself in place
-        only while this loop would have re-entered it, never crossing
-        the deadline before MTIP is set.
+        only while this loop would have re-entered it.
         """
         blocks = self.blocks
         total = 0
@@ -282,11 +288,6 @@ class Hart:
             total += executed
             if self._block_break or total >= limit:
                 return total
-            if self.cycles >= deadline:
-                self.csrs.set_mip_bit(MIP_MTIP, True)
-                if self._take_pending_interrupt():
-                    return total + 1
-                deadline = MASK64
             next_pc = self.pc
             epoch = blocks.epoch
             entry = block.links.get(next_pc)
@@ -303,10 +304,7 @@ class Hart:
                 nxt is None
                 or nxt.compiled is None
                 or len(nxt.ops) > limit - total
-                or (
-                    self.cycles + nxt.cycle_bound >= deadline
-                    and self._timer_deliverable()
-                )
+                or self.cycles + nxt.cycle_bound >= deadline
             ):
                 return total
             block = nxt
@@ -322,26 +320,33 @@ class Hart:
     def _adopt_layout(self, pc: int, key: tuple[int, int], mem):
         """Rebind a shared :class:`BlockLayout` into a local block.
 
-        Validates the layout byte-for-byte against live memory first —
-        adoption is only a win because the bulk read + compare is far
-        cheaper than fetch/predecode/cost-bounding the sequence, and
-        the comparison makes sharing unconditionally safe: a sibling
-        fork's layout for code this machine has since overwritten (or
-        never had) simply fails to match and translation proceeds
-        normally.  A layout carrying a sibling's compiled code has that
-        code rebound too, after the same compare.
+        Validates the key's variants byte-for-byte against live memory
+        first (one read covers the longest) — adoption is only a win
+        because the bulk read + compare is far cheaper than
+        fetch/predecode/cost-bounding the sequence, and the comparison
+        makes sharing unconditionally safe: a sibling fork's layout for
+        code this machine has since overwritten (or never had) simply
+        fails to match and translation proceeds normally.  A layout
+        carrying a sibling's compiled code has that code rebound too,
+        after the same compare.
         """
         shared = self.shared_layouts
         if shared is None:
             return None
-        layout = shared.get(key)
-        if layout is None:
+        variants = shared.get(key)
+        if variants is None:
             return None
         try:
-            raw = bytes(mem.read_bytes(pc, len(layout.raw)))
+            raw = bytes(mem.read_bytes(
+                pc, max(len(layout.raw) for layout in variants)
+            ))
         except (MemoryFault, AttributeError):
             return None
-        if raw != layout.raw:
+        for layout in variants:
+            if raw.startswith(layout.raw):
+                break
+        else:
+            self.layout_rejects += 1
             return None
         dispatch = self._dispatch
         ops = tuple(
@@ -422,15 +427,17 @@ class Hart:
             for page in pages:
                 mem.watch_code_page(page)
         shared = self.shared_layouts
-        if shared is not None and len(shared) < MAX_SHARED_LAYOUTS:
+        if shared is not None:
             try:
                 raw = bytes(mem.read_bytes(pc, 4 * len(ops)))
             except (MemoryFault, AttributeError):
                 raw = None
             if raw is not None:
-                block.layout = shared[key] = BlockLayout(
+                layout = BlockLayout(
                     raw, tuple(ins for _, ins in ops), bound, pages
                 )
+                if shared.add(key, layout):
+                    block.layout = layout
         if trace is not None:
             trace(
                 BLOCK_COMPILE,
@@ -443,15 +450,6 @@ class Hart:
     def _on_code_write(self, page_index: int) -> None:
         self.blocks.invalidate_page(page_index)
         self._block_break = True
-
-    def _timer_deliverable(self) -> bool:
-        """Could a machine-timer interrupt be taken if MTIP became set?"""
-        if not self.csrs.raw_read(csrdefs.MIE) & MIE_MTIE:
-            return False
-        return (
-            self.privilege < PrivilegeLevel.MACHINE
-            or bool(self.csrs.mstatus & MSTATUS_MIE)
-        )
 
     def _fetch(self, pc: int) -> int:
         if pc % 4:

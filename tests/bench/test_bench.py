@@ -74,6 +74,37 @@ class TestMeasurement:
         assert full.cycles > base.cycles
 
 
+class TestUserProgramReuse:
+    def test_one_user_build_serves_every_config(self, monkeypatch):
+        from repro.bench import runner
+        from repro.kernel import BootCache, build
+
+        workload = lmbench.SUITE[1]
+        configs = KernelConfig.figure5_matrix()
+        cache = BootCache(max_templates=None)
+
+        def uncached(config):
+            monkeypatch.setattr(runner, "_USER_BUILDS", {})
+            return run_workload(workload, config, 0.1, cache)
+
+        expected = [uncached(config) for config in configs]
+        monkeypatch.setattr(runner, "_USER_BUILDS", {})
+        calls = []
+        original = build.build_user_program
+
+        def counted(user_module):
+            calls.append(user_module)
+            return original(user_module)
+
+        monkeypatch.setattr(build, "build_user_program", counted)
+        measured = [
+            run_workload(workload, config, 0.1, cache) for config in configs
+        ]
+        assert len(calls) == 1
+        assert measured == expected
+        assert [m.config for m in measured] == [c.name for c in configs]
+
+
 class TestOverheadMath:
     def _matrix(self):
         def m(workload, config, cycles):

@@ -33,6 +33,8 @@ REQUIRED = {
     "timer_mid_block",
     "timer_mid_chain",
     "timer_masked_self_loop",
+    "timer_masked_mip_read",
+    "timer_masked_at_halt",
     "smc_in_self_loop",
     "ksel_invalidation",
     "misaligned_access",

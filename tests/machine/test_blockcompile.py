@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.isa import assemble
+from repro.isa import assemble, csrdefs
 from repro.machine.blockcompile import compile_block
 from repro.machine.compare import architectural_state, diff_states
 from repro.machine.csr import MIP_MTIP
@@ -436,6 +436,70 @@ buf:
         assert_equivalent(step, compiled)
         assert compiled.hart.regs.by_name("s2") == 6 * 1 + 14 * 5
         assert compiled.hart.blocks.invalidated_blocks > 0
+
+
+def run_tier(program, tier: int, max_steps: int):
+    """Run ``program`` single-stepped (tier 1), on the block interpreter
+    (tier 2) or with every block compiled (tier 3)."""
+    machine = machine_with_keys(program)
+    if tier == 2:
+        machine.hart.compile_enabled = False
+    elif tier == 3:
+        machine.hart.compile_threshold = 1
+    machine.run(max_steps, fast=tier > 1)
+    return machine
+
+
+class TestMaskedTimerInsideBlock:
+    """A masked timer (MTIE on, mstatus.MIE off) crossing mtimecmp
+    inside a straight-line block: however the run goes on — it stops,
+    reads ``mip`` or powers off — MIP must be what the step loop's
+    per-instruction refresh leaves."""
+
+    ARM = """
+_start:
+    csrr t0, cycle
+    addi t0, t0, {ahead}
+    li t1, 0x02004000
+    sd t0, 0(t1)
+    li t2, 128
+    csrs mie, t2
+"""
+    ADDIS = "\n".join(["    addi s2, s2, 1"] * 20)
+
+    # Arming takes 6 instructions; the loop block is 20 addi plus j.
+    LOOP = ARM.format(ahead=20) + f"loop:\n{ADDIS}\n    j loop\n"
+
+    @pytest.mark.parametrize("tier", (2, 3))
+    @pytest.mark.parametrize("max_steps", range(6, 6 + 21 * 3))
+    def test_step_budget_ends_after_the_crossing(self, tier, max_steps):
+        program = assemble(self.LOOP)
+        step = run_tier(program, 1, max_steps)
+        assert step.hart.instret == max_steps
+        assert_equivalent(step, run_tier(program, tier, max_steps))
+
+    @pytest.mark.parametrize("tier", (2, 3))
+    @pytest.mark.parametrize("ahead", (12, 16, 20))
+    def test_mip_read_at_block_end(self, tier, ahead):
+        program = assemble(
+            self.ARM.format(ahead=ahead)
+            + f"{self.ADDIS}\n    csrr a0, mip\n{HALT}"
+        )
+        step = run_tier(program, 1, 10_000)
+        assert step.hart.regs.by_name("a0") & MIP_MTIP
+        assert_equivalent(step, run_tier(program, tier, 10_000))
+
+    @pytest.mark.parametrize("tier", (2, 3))
+    @pytest.mark.parametrize("ahead", (12, 18, 24))
+    def test_power_off_at_block_end(self, tier, ahead):
+        program = assemble(
+            self.ARM.format(ahead=ahead)
+            + "    li t0, 0x5555\n    li t1, 0x02010000\n"
+            + f"{self.ADDIS}\n    sw t0, 0(t1)\n"
+        )
+        step = run_tier(program, 1, 10_000)
+        assert step.hart.csrs.raw_read(csrdefs.MIP) & MIP_MTIP
+        assert_equivalent(step, run_tier(program, tier, 10_000))
 
 
 class TestTelemetryInteraction:

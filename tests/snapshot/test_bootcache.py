@@ -323,3 +323,100 @@ class TestSharedCompiledCode:
         fresh = KernelSession(config, _loop_module(5))
         fresh.run()
         assert state_digest(other.machine) == state_digest(fresh.machine)
+
+
+class TestLayoutVariants:
+    """One shared-table key keeps a variant per distinct byte sequence
+    forks have run there, so siblings running different programs at the
+    same addresses stop re-translating and recompiling each other's
+    code."""
+
+    def test_alternating_programs_compile_nothing_once_warm(self):
+        from repro.machine.compare import state_digest
+
+        config = KernelConfig.full()
+        fresh = {}
+        for shift in (3, 5):
+            session = KernelSession(config, _loop_module(shift))
+            session.run()
+            fresh[shift] = state_digest(session.machine)
+        cache = BootCache()
+        for shift in (3, 5):
+            KernelSession(config, _loop_module(shift), boot_cache=cache).run()
+        for shift in (3, 5, 3, 5):
+            session = KernelSession(
+                config, _loop_module(shift), boot_cache=cache
+            )
+            session.run()
+            hart = session.machine.hart
+            assert hart.compiled_blocks == 0
+            assert hart.code_binds > 0
+            assert hart.layout_rejects == 0
+            assert state_digest(session.machine) == fresh[shift]
+
+    def test_full_key_drops_the_oldest_variant(self, monkeypatch):
+        from repro.machine import blockcache
+        from repro.machine.compare import state_digest
+
+        monkeypatch.setattr(blockcache, "MAX_LAYOUT_VARIANTS", 2)
+        config = KernelConfig.full()
+        cache = BootCache()
+        sessions = {}
+        for shift in (3, 5, 7):
+            sessions[shift] = KernelSession(
+                config, _loop_module(shift), boot_cache=cache
+            )
+            sessions[shift].run()
+        table = sessions[7].machine.hart.shared_layouts
+        loop_keys = [(pc, 0) for pc in _compiled_user_blocks(sessions[3])]
+        for key in loop_keys:
+            assert len(table[key]) == 2
+        assert table.layouts == sum(len(v) for v in table.values())
+        # The shift-3 variants were dropped: that program translates
+        # and compiles its loop again, exactly.
+        again = KernelSession(config, _loop_module(3), boot_cache=cache)
+        again.run()
+        assert again.machine.hart.layout_rejects > 0
+        assert again.machine.hart.compiled_blocks > 0
+        fresh = KernelSession(config, _loop_module(3))
+        fresh.run()
+        assert state_digest(again.machine) == state_digest(fresh.machine)
+        for key in loop_keys:
+            assert len(table[key]) == 2
+
+    def test_overwritten_code_matches_no_variant(self):
+        from repro.machine.compare import state_digest
+
+        config = KernelConfig.full()
+        cache = BootCache()
+        for shift in (3, 5):
+            KernelSession(config, _loop_module(shift), boot_cache=cache).run()
+        # Patch the fork's loop with the word that encodes shift 7, so
+        # its bytes match neither shared variant.
+        patch = _first_difference(_loop_module(3), _loop_module(7))
+        sessions = []
+        for boot_cache in (cache, None):
+            session = KernelSession(
+                config, _loop_module(3), boot_cache=boot_cache
+            )
+            session.machine.memory.write_bytes(*patch)
+            session.run()
+            sessions.append(session)
+        forked, fresh = sessions
+        assert forked.machine.hart.layout_rejects > 0
+        assert forked.machine.hart.compiled_blocks > 0
+        assert state_digest(forked.machine) == state_digest(fresh.machine)
+
+
+def _first_difference(module_a, module_b) -> tuple[int, bytes]:
+    """``(address, word)``: the first user-text word of ``module_b``
+    that differs from ``module_a``'s."""
+    from repro.kernel.build import build_user_program
+
+    text_a = build_user_program(module_a)[0].sections[".text"]
+    text_b = build_user_program(module_b)[0].sections[".text"]
+    for offset in range(0, len(text_a.data), 4):
+        word = bytes(text_b.data[offset:offset + 4])
+        if bytes(text_a.data[offset:offset + 4]) != word:
+            return text_a.base + offset, word
+    raise AssertionError("the modules assemble to the same text")
